@@ -7,10 +7,8 @@
 //! relationships between entities" rather than between their component
 //! words.
 
-use std::collections::HashMap;
-
 use edge_embed::{train_sgns, Embedding, SgnsConfig};
-use edge_text::{is_stopword, tokenize, EntityRecognizer, Token};
+use edge_text::{is_stopword, tokenize, EntityRecognizer, FxHashMap, Token};
 
 use edge_data::Tweet;
 
@@ -22,7 +20,9 @@ use edge_data::Tweet;
 #[serde(from = "Vec<String>", into = "Vec<String>")]
 pub struct EntityIndex {
     names: Vec<String>,
-    by_name: HashMap<String, usize>,
+    /// Looked up for every recognized mention on the request path, hence
+    /// the unkeyed Fx hash the recognizer's tables use too.
+    by_name: FxHashMap<String, usize>,
 }
 
 impl From<Vec<String>> for EntityIndex {

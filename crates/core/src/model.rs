@@ -2,6 +2,7 @@
 //! attention aggregation → Gaussian-mixture head, trained by maximizing the
 //! likelihood of geo-tagged training tweets (Eq. 13) with Adam.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use edge_graph::{
 use edge_tensor::init::xavier_uniform;
 use edge_tensor::tape::{NodeId, ParamId, ParamStore, Tape};
 use edge_tensor::{Adam, CsrMatrix, Matrix, Optimizer, TapeArena};
-use edge_text::EntityRecognizer;
+use edge_text::{EntityRecognizer, Tokens};
 
 use crate::artifact::{LazyAdjacency, LazyFeatures, SmoothedStore};
 use crate::attention::{attention_aggregate, sum_aggregate};
@@ -821,12 +822,28 @@ impl EdgeModel {
         self.smoothed.row_to_vec(idx)
     }
 
-    /// The entity indices a tweet text resolves to (known entities only).
+    /// The entity indices a tweet text resolves to (known entities only),
+    /// ascending. Allocates nothing but the returned `Vec` once this
+    /// thread's scratch buffers are warm.
     pub fn resolve_entities(&self, text: &str) -> Vec<usize> {
-        let mut ids: Vec<usize> =
-            self.ner.recognize(text).into_iter().filter_map(|m| self.index.get(&m.id)).collect();
-        ids.sort_unstable();
-        ids.dedup();
+        edge_text::with_tokens(text, |tokens| self.resolve_tokens(tokens))
+    }
+
+    /// [`Self::resolve_entities`] on an already tokenized text, so a caller
+    /// that scans the same tokens with another recognizer (the serving
+    /// router) tokenizes once.
+    pub fn resolve_tokens(&self, tokens: &mut Tokens) -> Vec<usize> {
+        thread_local! {
+            static HITS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+        }
+        let ids = HITS.with(|hits| {
+            let mut hits = hits.borrow_mut();
+            hits.clear();
+            self.ner.scan(tokens, |m| hits.extend(self.index.get(m.id)));
+            hits.sort_unstable();
+            hits.dedup();
+            hits.to_vec()
+        });
         edge_obs::counter!("core.ner.resolve.calls").inc(1);
         if ids.is_empty() {
             // The tweet mentions no entity present in the training graph —

@@ -63,8 +63,12 @@ pub struct StageCells {
 }
 
 impl StageCells {
-    fn note(cell: &AtomicU64, us: u64) {
-        cell.fetch_max(us, Ordering::Relaxed);
+    /// Records a stage that ran, in micros rounded up: a stage that ran
+    /// never reads 0, which the request's metrics take to mean it did not
+    /// run (batch assembly for a few texts takes well under a microsecond).
+    fn note(cell: &AtomicU64, elapsed: Duration) {
+        let us = elapsed.as_nanos().div_ceil(1000).max(1);
+        cell.fetch_max(u64::try_from(us).unwrap_or(u64::MAX), Ordering::Relaxed);
     }
 
     /// `(queue, batch, inference)` micros recorded so far.
@@ -346,8 +350,8 @@ fn dispatch(batch: &[Job], slot: &ModelSlot, cache: &ResponseCache) {
     for job in batch {
         trace::record_manual("serve.stage.queue", job.ctx, job.submitted, popped);
         trace::record_manual("serve.stage.batch", job.ctx, popped, assembled);
-        StageCells::note(&job.stages.queue, (popped - job.submitted).as_micros() as u64);
-        StageCells::note(&job.stages.batch, (assembled - popped).as_micros() as u64);
+        StageCells::note(&job.stages.queue, popped - job.submitted);
+        StageCells::note(&job.stages.batch, assembled - popped);
     }
 
     // Fan out across the worker pool, one model call per job. Each worker
@@ -385,7 +389,7 @@ fn dispatch(batch: &[Job], slot: &ModelSlot, cache: &ResponseCache) {
         }
         // Note the stage before fulfilling: fulfill wakes the handler,
         // which reads the cells immediately.
-        StageCells::note(&job.stages.inference, inference_started.elapsed().as_micros() as u64);
+        StageCells::note(&job.stages.inference, inference_started.elapsed());
         job.pending.fulfill(job.index, bytes);
     });
 }

@@ -22,26 +22,40 @@ pub struct PredictBody {
 }
 
 /// Parses either `{"text": "..."}"` or `{"texts": ["...", ...]}`, each
-/// with an optional `"fallback_prior": bool`.
+/// with an optional `"fallback_prior": bool`. The texts are moved out of
+/// the parsed tree, not copied.
 pub fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
+    use serde_json::Value;
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
-    let value: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("invalid json: {e}"))?;
-    let fallback_prior = match value.get("fallback_prior") {
-        None | Some(serde_json::Value::Null) => None,
-        Some(serde_json::Value::Bool(b)) => Some(*b),
+    let value: Value = serde_json::from_str(text).map_err(|e| format!("invalid json: {e}"))?;
+    let mut entries = match value {
+        Value::Object(entries) => entries,
+        _ => Vec::new(),
+    };
+    // The first entry with the key wins, as with `Value::get`.
+    let mut take = |key: &str| {
+        entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| std::mem::replace(v, Value::Null))
+    };
+    let fallback_prior = match take("fallback_prior") {
+        None | Some(Value::Null) => None,
+        Some(Value::Bool(b)) => Some(b),
         Some(_) => return Err("fallback_prior must be a boolean".to_string()),
     };
-    if let Some(single) = value.get("text") {
-        let s = single.as_str().ok_or("\"text\" must be a string")?;
-        return Ok(PredictBody { texts: vec![s.to_string()], single: true, fallback_prior });
+    if let Some(single) = take("text") {
+        let Value::Str(s) = single else { return Err("\"text\" must be a string".to_string()) };
+        return Ok(PredictBody { texts: vec![s], single: true, fallback_prior });
     }
-    if let Some(batch) = value.get("texts") {
-        let items = batch.as_array().ok_or("\"texts\" must be an array")?;
-        let mut texts = Vec::with_capacity(items.len());
-        for item in items {
-            texts.push(item.as_str().ok_or("\"texts\" items must be strings")?.to_string());
-        }
+    if let Some(batch) = take("texts") {
+        let Value::Array(items) = batch else {
+            return Err("\"texts\" must be an array".to_string());
+        };
+        let texts = items
+            .into_iter()
+            .map(|item| match item {
+                Value::Str(s) => Ok(s),
+                _ => Err("\"texts\" items must be strings".to_string()),
+            })
+            .collect::<Result<Vec<String>, String>>()?;
         if texts.is_empty() {
             return Err("\"texts\" must not be empty".to_string());
         }

@@ -15,12 +15,14 @@
 //!    entity sets always land on the same shard and adding/removing a
 //!    shard only remaps the keys that shard owns.
 //!
-//! With one shard the router short-circuits to shard 0 without touching
-//! the recognizer, so the single-model path stays bit-and-cost-identical
-//! to the pre-router server.
+//! The serve path calls [`Router::route_and_resolve`], which tokenizes a
+//! text once and scans those tokens with the union recognizer and then
+//! with the chosen shard's. With one shard the router short-circuits to
+//! shard 0 without the union scan, so the single-model path costs what
+//! resolution alone costs.
 
 use edge_core::model::EdgeModel;
-use edge_text::ner::EntityRecognizer;
+use edge_text::{with_tokens, EntityRecognizer, Tokens};
 use std::sync::Arc;
 
 /// 64-bit FNV-1a with a splitmix64 finalizer. Stable and
@@ -28,12 +30,22 @@ use std::sync::Arc;
 /// ordered by the *high* bits, where raw FNV-1a avalanches poorly on
 /// short, similar keys like `"nyma/0" .. "nyma/63"`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    finish(fnv1a_update(FNV_OFFSET, bytes))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Feeds `bytes` into a running FNV-1a state.
+fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    // splitmix64 finalizer: full-width avalanche.
+    hash
+}
+
+/// splitmix64 finalizer: full-width avalanche.
+fn finish(mut hash: u64) -> u64 {
     hash ^= hash >> 30;
     hash = hash.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     hash ^= hash >> 27;
@@ -78,10 +90,17 @@ impl HashRing {
 /// The hash key for a resolved entity set: sorted canonical mention ids
 /// joined with an unprintable separator. Equal sets hash equally no
 /// matter the mention order in the tweet.
-pub fn entity_set_key(mention_ids: &mut Vec<String>) -> u64 {
+pub fn entity_set_key<S: AsRef<str> + Ord>(mention_ids: &mut Vec<S>) -> u64 {
     mention_ids.sort_unstable();
     mention_ids.dedup();
-    fnv1a(mention_ids.join("\u{1f}").as_bytes())
+    let mut hash = FNV_OFFSET;
+    for (i, id) in mention_ids.iter().enumerate() {
+        if i > 0 {
+            hash = fnv1a_update(hash, "\u{1f}".as_bytes());
+        }
+        hash = fnv1a_update(hash, id.as_ref().as_bytes());
+    }
+    finish(hash)
 }
 
 /// The routing half of the serving stack: shard names, the merged
@@ -126,16 +145,35 @@ impl Router {
     /// Routes one tweet given every shard's current model (fetched once
     /// per request by the caller, index-aligned with the shard list).
     pub fn route_text(&self, text: &str, models: &[Arc<EdgeModel>]) -> usize {
+        if self.union.is_none() {
+            return 0;
+        }
+        with_tokens(text, |tokens| self.route_tokens(text, tokens, models))
+    }
+
+    /// Routes one tweet and resolves its entities on the chosen shard from
+    /// one tokenization: the union recognizer scans it for affinity, then
+    /// the shard's recognizer scans the same tokens. Equal to
+    /// [`Self::route_text`] followed by [`EdgeModel::resolve_entities`] on
+    /// the chosen shard.
+    pub fn route_and_resolve(&self, text: &str, models: &[Arc<EdgeModel>]) -> (usize, Vec<usize>) {
+        with_tokens(text, |tokens| {
+            let shard = self.route_tokens(text, tokens, models);
+            (shard, models[shard].resolve_tokens(tokens))
+        })
+    }
+
+    fn route_tokens(&self, text: &str, tokens: &mut Tokens, models: &[Arc<EdgeModel>]) -> usize {
         let Some(union) = &self.union else { return 0 };
-        let mentions = union.recognize(text);
+        let mut ids: Vec<&str> = Vec::new();
+        union.scan(tokens, |m| ids.push(m.id));
         // Affinity: how many recognized mentions each shard's entity
         // index can actually serve.
         let mut best = 0usize;
         let mut best_count = 0usize;
         let mut tied = true;
         for (idx, model) in models.iter().enumerate() {
-            let count =
-                mentions.iter().filter(|m| model.entity_index().get(&m.id).is_some()).count();
+            let count = ids.iter().filter(|id| model.entity_index().get(id).is_some()).count();
             if count > best_count {
                 best = idx;
                 best_count = count;
@@ -148,12 +186,7 @@ impl Router {
             return best;
         }
         // Tie or no known entity: deterministic consistent hash.
-        let key = if mentions.is_empty() {
-            fnv1a(text.as_bytes())
-        } else {
-            let mut ids: Vec<String> = mentions.into_iter().map(|m| m.id).collect();
-            entity_set_key(&mut ids)
-        };
+        let key = if ids.is_empty() { fnv1a(text.as_bytes()) } else { entity_set_key(&mut ids) };
         self.ring.route(key)
     }
 }

@@ -931,18 +931,17 @@ fn handle_predict(
     let mut participants: Vec<usize> = Vec::new();
     let mut degraded_prior: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
     for (i, text) in body.texts.iter().enumerate() {
-        let s = state.router.route_text(text, &models);
+        let (s, entities) = state.router.route_and_resolve(text, &models);
         let shard = &state.shards[s];
         shard.cells.texts.inc(1);
         participants.push(s);
         let (model, generation) = (&models[s], snapshots[s].1);
-        let entities = model.resolve_entities(text);
         if entities.is_empty() && !fallback {
             fragments[i] = Some(Arc::new(render_error(&edge_core::PredictError::NoEntities)));
             batch_path_counter(false).inc(1);
             continue;
         }
-        let key = CacheKey { generation, entities: entities.clone(), fallback };
+        let key = CacheKey { generation, entities, fallback };
         if let Some(bytes) = shard.cache.get(&key) {
             fragments[i] = Some(bytes);
             stats.cache_hits += 1;
@@ -975,7 +974,7 @@ fn handle_predict(
             }
             Mode::Full => {
                 batch_path_counter(true).inc(1);
-                seeds.push((i, s, entities));
+                seeds.push((i, s, key.entities));
             }
         }
     }

@@ -149,6 +149,28 @@ fn routed_responses_are_bit_identical_to_the_owning_shard() {
     server.shutdown();
 }
 
+/// The serve path's one-tokenization call gives exactly what routing and
+/// then resolving separately give, on every test text of both metros.
+#[test]
+fn route_and_resolve_equals_route_text_then_resolve_entities() {
+    let models = vec![
+        Arc::new(EdgeModel::load_artifact(&util::world().model_path).expect("load nyma")),
+        Arc::new(EdgeModel::load_artifact(&lama_world().model_path).expect("load lama")),
+    ];
+    let router = Router::new(vec!["nyma".to_string(), "lama".to_string()], &models);
+    let (_, ny_test) = util::world().dataset.paper_split();
+    let (_, la_test) = lama_world().dataset.paper_split();
+    let mut per_shard = [0usize; 2];
+    for tweet in ny_test.iter().chain(la_test) {
+        let text = tweet.text.as_str();
+        let shard = router.route_text(text, &models);
+        let expected = (shard, models[shard].resolve_entities(text));
+        assert_eq!(router.route_and_resolve(text, &models), expected, "{text:?}");
+        per_shard[shard] += 1;
+    }
+    assert!(per_shard.iter().all(|&n| n > 0), "both shards routed to: {per_shard:?}");
+}
+
 #[test]
 fn multi_shard_reload_requires_a_shard_name() {
     let (server, _, _) = start_two_shards(ServeConfig::default());

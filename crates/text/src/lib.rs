@@ -12,8 +12,10 @@ pub mod stopwords;
 pub mod token;
 pub mod vocab;
 
-pub use ner::{canonical_id, EntityCategory, EntityMention, EntityRecognizer};
+pub use ner::{
+    canonical_id, EntityCategory, EntityMention, EntityRecognizer, FxHashMap, FxHasher, Mention,
+};
 pub use ngram::{ngram_counts, ngrams};
 pub use stopwords::is_stopword;
-pub use token::{lower_words, tokenize, Token, TokenKind};
+pub use token::{lower_words, tokenize, with_tokens, Token, TokenKind, Tokens};
 pub use vocab::Vocab;

@@ -20,11 +20,11 @@
 //! which is what produces the ~87–95% recognition band the paper audits.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
-use crate::stopwords::is_stopword;
-use crate::token::{tokenize, Token, TokenKind};
+use crate::token::{with_tokens, TokenKind, TokenSpan, Tokens};
 
 /// The 10 entity categories of the Ritter et al. recognizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -72,16 +72,81 @@ pub struct EntityMention {
     pub category: EntityCategory,
 }
 
+/// One mention found by [`EntityRecognizer::scan`], borrowed from the
+/// scanned [`Tokens`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mention<'a> {
+    /// Canonical id (see [`EntityMention::id`]).
+    pub id: &'a str,
+    /// The surface text as it appeared, without a hashtag or mention sigil.
+    pub text: &'a str,
+    /// `#` or `@` for hashtag and @-mention entities.
+    pub sigil: Option<char>,
+    /// Predicted category.
+    pub category: EntityCategory,
+}
+
+impl From<Mention<'_>> for EntityMention {
+    fn from(m: Mention<'_>) -> Self {
+        let surface = match m.sigil {
+            Some(sigil) => format!("{sigil}{}", m.text),
+            None => m.text.to_string(),
+        };
+        EntityMention { id: m.id.to_string(), surface, category: m.category }
+    }
+}
+
+/// The Fx multiply-rotate hash (as in rustc) for the gazetteer tables. The
+/// tables are built from artifacts, never from request text, which only
+/// looks them up, so a keyed hash buys nothing there, and SipHash costs
+/// more than the short phrase keys it hashes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` hashed with [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// The recognizer: rules + gazetteer.
 ///
-/// Serializes as its gazetteer entries (needed to persist a trained EDGE
-/// model, whose inference path owns a recognizer).
+/// The gazetteer is compiled into two tables: phrases keyed by their
+/// space-joined lowercase tokens, and each phrase's first token mapped to
+/// the most tokens of any phrase starting with it, which bounds the greedy
+/// match at each position. Serializes as its gazetteer entries (needed to
+/// persist a trained EDGE model, whose inference path owns a recognizer).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "RecognizerRepr", into = "RecognizerRepr")]
 pub struct EntityRecognizer {
-    /// Lowercase token-sequence → category.
-    gazetteer: HashMap<Vec<String>, EntityCategory>,
-    max_phrase_len: usize,
+    /// Space-joined lowercase phrase tokens → category.
+    phrases: FxHashMap<String, EntityCategory>,
+    /// First lowercase phrase token → most tokens of a phrase starting with it.
+    first_tokens: FxHashMap<String, usize>,
 }
 
 /// Serialized form of [`EntityRecognizer`]: `(surface, category)` entries.
@@ -102,8 +167,7 @@ impl From<RecognizerRepr> for EntityRecognizer {
 
 impl From<EntityRecognizer> for RecognizerRepr {
     fn from(r: EntityRecognizer) -> Self {
-        let mut entries: Vec<(String, EntityCategory)> =
-            r.gazetteer.into_iter().map(|(toks, cat)| (toks.join(" "), cat)).collect();
+        let mut entries: Vec<(String, EntityCategory)> = r.phrases.into_iter().collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Self { entries }
     }
@@ -133,18 +197,25 @@ impl EntityRecognizer {
 
     /// Adds one gazetteer entry.
     pub fn add_gazetteer_entry(&mut self, surface: &str, category: EntityCategory) {
-        let key: Vec<String> =
-            surface.to_lowercase().split_whitespace().map(String::from).collect();
-        if key.is_empty() {
-            return;
+        let lower = surface.to_lowercase();
+        let words: Vec<&str> = lower.split_whitespace().collect();
+        let Some(first) = words.first() else { return };
+        self.note_first_token(first, words.len());
+        self.phrases.insert(words.join(" "), category);
+    }
+
+    fn note_first_token(&mut self, first: &str, len: usize) {
+        match self.first_tokens.get_mut(first) {
+            Some(longest) => *longest = (*longest).max(len),
+            None => {
+                self.first_tokens.insert(first.to_string(), len);
+            }
         }
-        self.max_phrase_len = self.max_phrase_len.max(key.len());
-        self.gazetteer.insert(key, category);
     }
 
     /// Number of gazetteer entries.
     pub fn gazetteer_len(&self) -> usize {
-        self.gazetteer.len()
+        self.phrases.len()
     }
 
     /// Merges another recognizer's gazetteer into this one. On conflicting
@@ -152,139 +223,113 @@ impl EntityRecognizer {
     /// Used by the serving router to build a union recognizer over every
     /// loaded shard model (routing needs to see all shards' entities).
     pub fn merge(&mut self, other: &EntityRecognizer) {
-        for (toks, cat) in &other.gazetteer {
-            self.max_phrase_len = self.max_phrase_len.max(toks.len());
-            self.gazetteer.entry(toks.clone()).or_insert(*cat);
+        for (key, cat) in &other.phrases {
+            self.phrases.entry(key.clone()).or_insert(*cat);
         }
-    }
-
-    /// Looks up a lowercase token sequence.
-    fn lookup(&self, toks: &[String]) -> Option<EntityCategory> {
-        self.gazetteer.get(toks).copied()
+        for (first, &len) in &other.first_tokens {
+            self.note_first_token(first, len);
+        }
     }
 
     /// Recognizes the entities in `text`. Each distinct entity id appears
     /// once (the paper counts an entity once per tweet regardless of
     /// repeats), in first-mention order.
     pub fn recognize(&self, text: &str) -> Vec<EntityMention> {
-        let tokens = tokenize(text);
-        let mut mentions: Vec<EntityMention> = Vec::new();
-        let push = |m: EntityMention, mentions: &mut Vec<EntityMention>| {
-            if !mentions.iter().any(|e| e.id == m.id) {
-                mentions.push(m);
+        with_tokens(text, |tokens| {
+            let mut mentions = Vec::new();
+            self.scan(tokens, |m| mentions.push(m.into()));
+            mentions
+        })
+    }
+
+    /// Runs the recognition passes over a tokenized text and reports each
+    /// distinct entity id once, in first-mention order. [`Self::recognize`],
+    /// model entity resolution and the serving router (which scans one
+    /// tokenization with two recognizers) all go through here.
+    pub fn scan<'t>(&self, tokens: &'t mut Tokens, mut on_mention: impl FnMut(Mention<'t>)) {
+        let Tokens { spans, surface, lower, ids, consumed, seen, .. } = tokens;
+        let (spans, surface, lower, ids): (&'t [TokenSpan], &'t str, &'t str, &'t str) =
+            (spans, surface, lower, ids);
+        let n = spans.len();
+        consumed.clear();
+        consumed.resize(n, false);
+        seen.clear();
+        // Byte range of tokens `first..end` in `lower` (and `ids`).
+        let run = |first: usize, end: usize| spans[first].lower.0..spans[end - 1].lower.1;
+        let mut report = |first: usize, end: usize, sigil: Option<char>, category| {
+            let range = run(first, end);
+            let id = &ids[range.clone()];
+            if seen.iter().any(|&(a, b)| &ids[a..b] == id) {
+                return;
             }
+            seen.push((range.start, range.end));
+            let text = &surface[spans[first].surface.0..spans[end - 1].surface.1];
+            on_mention(Mention { id, text, sigil, category });
         };
 
-        let lower: Vec<String> = tokens.iter().map(Token::lower).collect();
-        let mut consumed = vec![false; tokens.len()];
-
         // Pass 1: hashtags and mentions.
-        for (i, tok) in tokens.iter().enumerate() {
-            match tok.kind {
-                TokenKind::Hashtag | TokenKind::Mention => {
-                    consumed[i] = true;
-                    let id = canonical_id(&tok.text);
-                    let category = self
-                        .lookup(std::slice::from_ref(&lower[i]))
-                        .unwrap_or(EntityCategory::Other);
-                    let sigil = if tok.kind == TokenKind::Hashtag { "#" } else { "@" };
-                    push(
-                        EntityMention { id, surface: format!("{sigil}{}", tok.text), category },
-                        &mut mentions,
-                    );
-                }
-                _ => {}
-            }
+        for (i, span) in spans.iter().enumerate() {
+            let sigil = match span.kind {
+                TokenKind::Hashtag => '#',
+                TokenKind::Mention => '@',
+                _ => continue,
+            };
+            consumed[i] = true;
+            let category =
+                self.phrases.get(&lower[run(i, i + 1)]).copied().unwrap_or(EntityCategory::Other);
+            report(i, i + 1, Some(sigil), category);
         }
 
         // Pass 2: greedy longest gazetteer match (catches lowercase forms
         // and fixes multi-word boundaries).
-        if self.max_phrase_len > 0 {
-            let mut i = 0;
-            while i < tokens.len() {
-                if consumed[i] {
-                    i += 1;
-                    continue;
+        let mut i = 0;
+        while i < n {
+            if consumed[i] {
+                i += 1;
+                continue;
+            }
+            let Some(&longest) = self.first_tokens.get(&lower[run(i, i + 1)]) else {
+                i += 1;
+                continue;
+            };
+            // A phrase never spans a hashtag or mention.
+            let mut max_len = longest.min(n - i);
+            if let Some(k) = consumed[i..i + max_len].iter().position(|&c| c) {
+                max_len = k;
+            }
+            let matched = (1..=max_len)
+                .rev()
+                .find_map(|len| self.phrases.get(&lower[run(i, i + len)]).map(|&cat| (len, cat)));
+            match matched {
+                Some((len, category)) => {
+                    consumed[i..i + len].fill(true);
+                    report(i, i + len, None, category);
+                    i += len;
                 }
-                let mut matched = 0;
-                let mut matched_cat = EntityCategory::Other;
-                let max_len = self.max_phrase_len.min(tokens.len() - i);
-                for len in (1..=max_len).rev() {
-                    if (i..i + len).any(|j| consumed[j]) {
-                        continue;
-                    }
-                    if let Some(cat) = self.lookup(&lower[i..i + len]) {
-                        matched = len;
-                        matched_cat = cat;
-                        break;
-                    }
-                }
-                if matched > 0 {
-                    let surface = tokens[i..i + matched]
-                        .iter()
-                        .map(|t| t.text.as_str())
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    for c in consumed.iter_mut().skip(i).take(matched) {
-                        *c = true;
-                    }
-                    push(
-                        EntityMention {
-                            id: canonical_id(&surface),
-                            surface,
-                            category: matched_cat,
-                        },
-                        &mut mentions,
-                    );
-                    i += matched;
-                } else {
-                    i += 1;
-                }
+                None => i += 1,
             }
         }
 
         // Pass 3: capitalized chunking for out-of-gazetteer entities.
+        let candidate = |j: usize| !consumed[j] && spans[j].chunkable;
         let mut i = 0;
-        while i < tokens.len() {
-            let is_candidate = |j: usize| {
-                !consumed[j]
-                    && tokens[j].kind == TokenKind::Word
-                    && tokens[j].is_capitalized()
-                    && !is_stopword(&lower[j])
-            };
-            if !is_candidate(i) {
+        while i < n {
+            if !candidate(i) {
                 i += 1;
                 continue;
+            }
+            let mut end = i + 1;
+            while end < n && candidate(end) {
+                end += 1;
             }
             // Sentence-initial single capitalized words are usually ordinary
             // sentence case, not entities; require either a non-initial
             // position or a multi-token chunk.
-            let mut end = i + 1;
-            while end < tokens.len() && is_candidate(end) {
-                end += 1;
+            if i > 0 || end > 1 {
+                report(i, end, None, EntityCategory::Other);
             }
-            let chunk_len = end - i;
-            if i == 0 && chunk_len == 1 {
-                i = end;
-                continue;
-            }
-            let surface =
-                tokens[i..end].iter().map(|t| t.text.as_str()).collect::<Vec<_>>().join(" ");
-            for c in consumed.iter_mut().skip(i).take(chunk_len) {
-                *c = true;
-            }
-            push(
-                EntityMention {
-                    id: canonical_id(&surface),
-                    surface,
-                    category: EntityCategory::Other,
-                },
-                &mut mentions,
-            );
             i = end;
         }
-
-        mentions
     }
 
     /// The fraction of `expected` entity ids recovered from `text` — the

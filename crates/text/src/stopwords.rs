@@ -1,8 +1,6 @@
 //! A compact English stop-word list tuned for tweets.
 
-use std::collections::HashSet;
-use std::sync::OnceLock;
-
+/// Sorted, for binary search.
 const STOPWORDS: &[&str] = &[
     "a", "about", "after", "again", "all", "am", "an", "and", "any", "are", "as", "at", "be",
     "because", "been", "before", "being", "but", "by", "can", "come", "could", "day", "did", "do",
@@ -18,14 +16,56 @@ const STOPWORDS: &[&str] = &[
     "you", "your", "yours",
 ];
 
-fn set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| STOPWORDS.iter().copied().collect())
+/// Longest entry of [`STOPWORDS`], in bytes.
+const MAX_STOPWORD_LEN: usize = 7;
+
+/// [`STOPWORDS`] packed into big-endian integers (see [`pack`]), in the
+/// same order: the list is sorted and no entry holds a zero byte, so
+/// integer order is string order.
+const PACKED: [u64; STOPWORDS.len()] = {
+    let mut out = [0; STOPWORDS.len()];
+    let mut i = 0;
+    while i < STOPWORDS.len() {
+        out[i] = pack(STOPWORDS[i].as_bytes());
+        i += 1;
+    }
+    out
+};
+
+/// Packs at most 8 bytes into a `u64`, first byte highest.
+const fn pack(word: &[u8]) -> u64 {
+    let mut key = 0;
+    let mut i = 0;
+    while i < word.len() {
+        key |= (word[i] as u64) << (56 - 8 * i);
+        i += 1;
+    }
+    key
 }
 
-/// Whether `word` (any case) is a stop word.
+/// Whether `word` (any case) is a stop word. Every stop word is short
+/// ASCII, so the lowercase form is packed into an integer (giving up at
+/// the first non-ASCII or surplus char) and binary-searched.
 pub fn is_stopword(word: &str) -> bool {
-    set().contains(word.to_lowercase().as_str())
+    let key = if word.is_ascii() {
+        if word.len() > MAX_STOPWORD_LEN {
+            return false;
+        }
+        let mut lower = [0u8; MAX_STOPWORD_LEN];
+        lower[..word.len()].copy_from_slice(word.as_bytes());
+        lower.make_ascii_lowercase();
+        pack(&lower)
+    } else {
+        let mut key = 0u64;
+        for (len, c) in word.chars().flat_map(char::to_lowercase).enumerate() {
+            if !c.is_ascii() || len == MAX_STOPWORD_LEN {
+                return false;
+            }
+            key |= (c as u64) << (56 - 8 * len);
+        }
+        key
+    };
+    PACKED.binary_search(&key).is_ok()
 }
 
 #[cfg(test)]
@@ -44,6 +84,29 @@ mod tests {
         for w in ["broadway", "quarantine", "hospital", "covid19"] {
             assert!(!is_stopword(w), "{w}");
         }
+    }
+
+    #[test]
+    fn max_len_covers_the_list() {
+        assert_eq!(STOPWORDS.iter().map(|w| w.len()).max(), Some(MAX_STOPWORD_LEN));
+    }
+
+    #[test]
+    fn non_ascii_case_forms_match_like_to_lowercase() {
+        // The Kelvin sign lowercases to ASCII `k`; a capital sigma never
+        // lowercases to ASCII.
+        assert!(is_stopword("li\u{212a}e"));
+        assert!(!is_stopword("\u{3a3}o"));
+        for w in ["caf\u{e9}", "\u{130}", "becauses"] {
+            assert_eq!(is_stopword(w), STOPWORDS.contains(&w.to_lowercase().as_str()), "{w}");
+        }
+    }
+
+    #[test]
+    fn list_is_sorted_for_binary_search() {
+        assert!(STOPWORDS.windows(2).all(|w| w[0] < w[1]), "STOPWORDS must be sorted");
+        assert!(PACKED.windows(2).all(|w| w[0] < w[1]));
+        assert!(STOPWORDS.iter().all(|w| !w.is_empty() && !w.contains('\0')));
     }
 
     #[test]

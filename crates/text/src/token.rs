@@ -5,7 +5,11 @@
 //! (they are entity candidates), drops URLs, and preserves the original
 //! casing (the NER chunker needs it) while exposing a lowercase view.
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
+
+use crate::stopwords::is_stopword;
 
 /// The lexical class of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,6 +50,17 @@ impl Token {
 /// [`TokenKind`].
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut tokens = Vec::new();
+    for_each_token(text, &mut String::new(), |t, kind| {
+        tokens.push(Token { text: t.to_string(), kind });
+    });
+    tokens
+}
+
+/// The tokenizer behind both [`tokenize`] and [`with_tokens`]: visits each
+/// token's text and kind in order. Words and numbers are slices of `text`;
+/// hashtag and mention bodies are copied into `buf` with their punctuation
+/// stripped.
+fn for_each_token(text: &str, buf: &mut String, mut visit: impl FnMut(&str, TokenKind)) {
     for raw in text.split_whitespace() {
         if is_url(raw) {
             continue;
@@ -57,9 +72,10 @@ pub fn tokenize(text: &str) -> Vec<Token> {
         };
         if kind != TokenKind::Word {
             // Hashtags/mentions: strip trailing punctuation, keep one token.
-            let clean: String = body.chars().filter(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !clean.is_empty() {
-                tokens.push(Token { text: clean, kind });
+            buf.clear();
+            buf.extend(body.chars().filter(|c| c.is_alphanumeric() || *c == '_'));
+            if !buf.is_empty() {
+                visit(buf, kind);
             }
             continue;
         }
@@ -75,10 +91,119 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             } else {
                 TokenKind::Word
             };
-            tokens.push(Token { text: piece.to_string(), kind });
+            visit(piece, kind);
         }
     }
-    tokens
+}
+
+/// A tweet tokenized once for entity recognition, in buffers that are
+/// reused from text to text (see [`with_tokens`]).
+///
+/// The token texts are stored joined by single spaces, once in original
+/// case and once lowercased, so a run of consecutive tokens is one slice of
+/// each: the lowercase slice is a gazetteer phrase key, and the same bytes
+/// with `_` separators (the `ids` buffer) are the run's canonical entity id.
+/// No token contains whitespace or, outside hashtags and mentions, `_`.
+#[derive(Debug, Default)]
+pub struct Tokens {
+    pub(crate) spans: Vec<TokenSpan>,
+    /// Original-case token texts joined by `' '`.
+    pub(crate) surface: String,
+    /// Lowercase token texts joined by `' '`.
+    pub(crate) lower: String,
+    /// `lower` with `'_'` separators.
+    pub(crate) ids: String,
+    /// Scratch for hashtag and mention bodies while tokenizing.
+    sigil_body: String,
+    /// Per-scan state of [`crate::EntityRecognizer::scan`].
+    pub(crate) consumed: Vec<bool>,
+    /// `ids` ranges already reported by the current scan.
+    pub(crate) seen: Vec<(usize, usize)>,
+}
+
+/// Where one token sits in the [`Tokens`] buffers. `lower` ranges index
+/// both `lower` and `ids`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TokenSpan {
+    pub(crate) surface: (usize, usize),
+    pub(crate) lower: (usize, usize),
+    pub(crate) kind: TokenKind,
+    /// A capitalized word that is not a stop word: a candidate for the
+    /// recognizer's capitalized-chunk pass.
+    pub(crate) chunkable: bool,
+}
+
+impl Tokens {
+    /// Tokenizes `text`, replacing the previous contents.
+    fn fill(&mut self, text: &str) {
+        let Tokens { spans, surface, lower, ids, sigil_body, .. } = self;
+        spans.clear();
+        surface.clear();
+        lower.clear();
+        ids.clear();
+        for_each_token(text, sigil_body, |t, kind| {
+            if !spans.is_empty() {
+                surface.push(' ');
+                lower.push(' ');
+                ids.push('_');
+            }
+            let s0 = surface.len();
+            surface.push_str(t);
+            let l0 = lower.len();
+            push_lowercase(lower, t);
+            ids.push_str(&lower[l0..]);
+            let capitalized = t.chars().next().is_some_and(char::is_uppercase);
+            spans.push(TokenSpan {
+                surface: (s0, surface.len()),
+                lower: (l0, lower.len()),
+                kind,
+                chunkable: kind == TokenKind::Word && capitalized && !is_stopword(&lower[l0..]),
+            });
+        });
+    }
+}
+
+/// Runs `f` on `text` tokenized into this thread's reusable [`Tokens`], so
+/// recognition allocates nothing for its tokens once the buffers are warm.
+/// A nested call on the same thread gets a fresh `Tokens`.
+pub fn with_tokens<R>(text: &str, f: impl FnOnce(&mut Tokens) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<Tokens> = RefCell::new(Tokens::default());
+    }
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut tokens) => {
+            tokens.fill(text);
+            let out = f(&mut tokens);
+            // Do not pin an outsized text's buffers to the thread.
+            if tokens.surface.capacity() > MAX_KEPT_BYTES {
+                *tokens = Tokens::default();
+            }
+            out
+        }
+        Err(_) => {
+            let mut tokens = Tokens::default();
+            tokens.fill(text);
+            f(&mut tokens)
+        }
+    })
+}
+
+/// Largest token buffer [`with_tokens`] keeps between texts.
+const MAX_KEPT_BYTES: usize = 1 << 16;
+
+/// Appends `t.to_lowercase()` to `out`. ASCII is lowercased in place; other
+/// text char by char, which is the same mapping except for a capital sigma,
+/// whose lowercase depends on its neighbours (that rare case allocates).
+fn push_lowercase(out: &mut String, t: &str) {
+    if t.is_ascii() {
+        let start = out.len();
+        out.push_str(t);
+        out[start..].make_ascii_lowercase();
+    } else if t.contains('\u{3a3}') {
+        out.push_str(&t.to_lowercase());
+    } else {
+        out.extend(t.chars().flat_map(char::to_lowercase));
+    }
 }
 
 /// Lowercase word list of a tweet (the view bag-of-words models use).

@@ -166,6 +166,12 @@ pub trait Deserialize: Sized {
     /// Reads a value from a document tree.
     fn from_value(v: &Value) -> Result<Self, Error>;
 
+    /// Reads a value from an owned tree. Types that can take the tree's
+    /// contents instead of copying them override this (`Value` does).
+    fn from_owned_value(v: Value) -> Result<Self, Error> {
+        Self::from_value(&v)
+    }
+
     /// The value to use when a struct field is absent (`None` = error).
     /// `Option<T>` overrides this to tolerate missing fields, as real serde
     /// does.
@@ -526,6 +532,10 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn from_owned_value(v: Value) -> Result<Self, Error> {
+        Ok(v)
     }
 }
 

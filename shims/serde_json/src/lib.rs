@@ -64,13 +64,12 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value> {
 
 /// Convert a [`Value`] tree into a concrete type.
 pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T> {
-    T::from_value(&value).map_err(Error::from)
+    T::from_owned_value(value).map_err(Error::from)
 }
 
 /// Parse a JSON document into a concrete type.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
-    let value = parse_document(s)?;
-    T::from_value(&value).map_err(Error::from)
+    T::from_owned_value(parse_document(s)?).map_err(Error::from)
 }
 
 /// Construct JSON values with literal-ish syntax. Supports the subset this
@@ -190,12 +189,13 @@ fn write_string(s: &str, out: &mut String) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_document(s: &str) -> Result<Value> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -326,63 +326,63 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece.
+            // Both are ASCII, so the run ends on a char boundary of the
+            // (already valid UTF-8) input.
+            let start = self.pos;
+            let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\');
+            self.pos = run.map_or(self.bytes.len(), |n| start + n);
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(Error("unterminated string".into())),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            // parse_hex4 enters with pos at 'u' and exits past
-                            // the 4th digit.
-                            let cp = self.parse_hex4()?;
-                            if (0xD800..0xDC00).contains(&cp)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
-                            {
-                                // High surrogate followed by `\uXXXX`: decode
-                                // the pair into one astral-plane char.
-                                self.pos += 1; // skip '\', land on 'u'
-                                let lo = self.parse_hex4()?;
-                                if (0xDC00..0xE000).contains(&lo) {
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    out.push(char::from_u32(c).unwrap_or('\u{FFFD}'));
-                                } else {
-                                    out.push('\u{FFFD}');
-                                    out.push(char::from_u32(lo).unwrap_or('\u{FFFD}'));
-                                }
-                            } else {
-                                out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                            }
-                            continue;
-                        }
-                        other => {
-                            return Err(Error(format!("bad escape {:?}", other.map(|c| c as char))))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8 by
-                    // construction: we came from &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => self.parse_escape(&mut out)?,
             }
         }
+    }
+
+    /// Decodes one escape sequence into `out`. On entry `pos` is at the
+    /// backslash; on exit it is past the sequence.
+    fn parse_escape(&mut self, out: &mut String) -> Result<()> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                // parse_hex4 enters with pos at 'u' and exits past the 4th
+                // digit.
+                let cp = self.parse_hex4()?;
+                if (0xD800..0xDC00).contains(&cp) && self.bytes[self.pos..].starts_with(b"\\u") {
+                    // High surrogate followed by `\uXXXX`: decode the pair
+                    // into one astral-plane char.
+                    self.pos += 1; // skip '\', land on 'u'
+                    let lo = self.parse_hex4()?;
+                    if (0xDC00..0xE000).contains(&lo) {
+                        let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                        out.push(char::from_u32(c).unwrap_or('\u{FFFD}'));
+                    } else {
+                        out.push('\u{FFFD}');
+                        out.push(char::from_u32(lo).unwrap_or('\u{FFFD}'));
+                    }
+                } else {
+                    out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
+                }
+                return Ok(());
+            }
+            other => return Err(Error(format!("bad escape {:?}", other.map(|c| c as char)))),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
     }
 
     /// Reads the 4 hex digits of a `\uXXXX` escape. On entry `pos` is at the
@@ -486,6 +486,65 @@ mod tests {
             Value::Str(s) => assert_eq!(s, "café 😀"),
             other => panic!("expected string, got {other:?}"),
         }
+    }
+
+    fn parse_str(src: &str) -> Result<String> {
+        match from_str::<Value>(src)? {
+            Value::Str(s) => Ok(s),
+            other => panic!("expected string, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes() {
+        assert_eq!(parse_str(r#""caf\u00e9\n\u00e9t\u00e9""#).unwrap(), "caf\u{e9}\n\u{e9}t\u{e9}");
+        assert_eq!(
+            parse_str("\"\u{e9}\\t\u{1f600}\\\"\u{e9}\"").unwrap(),
+            "\u{e9}\t\u{1f600}\"\u{e9}"
+        );
+        assert_eq!(parse_str(r#""\\""#).unwrap(), "\\");
+        assert_eq!(parse_str(r#""""#).unwrap(), "");
+    }
+
+    #[test]
+    fn solidus_backspace_and_form_feed_escapes() {
+        assert_eq!(parse_str(r#""a\/b\bc\fd""#).unwrap(), "a/b\u{8}c\u{c}d");
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_become_replacements() {
+        assert_eq!(parse_str(r#""x\ud83d\ude00y""#).unwrap(), "x\u{1f600}y");
+        // A lone high surrogate followed by plain text.
+        assert_eq!(parse_str(r#""\ud83dabc""#).unwrap(), "\u{fffd}abc");
+        // A high surrogate followed by a non-low escape keeps the second char.
+        assert_eq!(parse_str(r#""\ud83d\u0041""#).unwrap(), "\u{fffd}A");
+    }
+
+    #[test]
+    fn truncated_strings_are_typed_errors() {
+        // Unterminated after a run, after an escape, and with no run at all.
+        for src in [r#""abc"#, r#""abc\n"#, r#"""#, r#"["caf\u00e9"#] {
+            let err = from_str::<Value>(src).unwrap_err();
+            assert!(err.to_string().contains("unterminated"), "{src}: {err}");
+        }
+        // A truncated `\u` escape, alone and inside a surrogate pair.
+        for src in [r#""ab\u00"#, r#""ab\u"#, r#""\ud83d\ude0"#] {
+            let err = from_str::<Value>(src).unwrap_err();
+            assert!(err.to_string().contains("\\u escape"), "{src}: {err}");
+        }
+        // A backslash at the very end of the input.
+        assert!(from_str::<Value>("\"ab\\").unwrap_err().to_string().contains("bad escape"));
+    }
+
+    #[test]
+    fn megabyte_string_parses_whole() {
+        let body: String = "tweet text \u{e9} ".repeat(80_000);
+        assert!(body.len() >= 1 << 20);
+        let doc = format!("{{\"texts\":[\"{body}\",\"a\\nb\"]}}");
+        let v: Value = from_str(&doc).unwrap();
+        let items = v.get("texts").and_then(Value::as_array).unwrap();
+        assert_eq!(items[0].as_str(), Some(body.as_str()));
+        assert_eq!(items[1].as_str(), Some("a\nb"));
     }
 
     #[test]
