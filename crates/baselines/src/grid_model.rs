@@ -4,8 +4,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use edge_data::Tweet;
 use edge_geo::{Grid, Kde2d, Partition};
 use edge_text::{is_stopword, lower_words};
@@ -105,20 +103,25 @@ impl GridCounts<Grid> {
                 .map(|(c, v)| (c as u32, v as f32))
                 .collect()
         };
-        let entries: Vec<(String, Vec<(u32, f32)>)> = self
-            .word_cells
-            .par_iter()
-            .map(|(w, cells)| (w.clone(), smooth_sparse(cells)))
-            .collect();
-        let word_cells: HashMap<String, Vec<(u32, f32)>> = entries.into_iter().collect();
+        // Words in sorted order, one output slot each: the smoothed tables
+        // and the totals summed from them do not depend on hash order or on
+        // the thread count.
+        let mut words: Vec<(&String, &Vec<(u32, f32)>)> = self.word_cells.iter().collect();
+        words.sort_unstable_by_key(|&(w, _)| w);
+        let mut smoothed: Vec<Vec<(u32, f32)>> = vec![Vec::new(); words.len()];
+        edge_par::parallel_for_chunks_mut(&mut smoothed, 1, |i, slot| {
+            slot[0] = smooth_sparse(words[i].1);
+        });
         // Recompute totals from the smoothed words so the conditional
         // distributions stay consistent.
         let mut cell_totals = vec![0.0; self.grid.len()];
-        for cells in word_cells.values() {
+        for cells in &smoothed {
             for &(c, v) in cells {
                 cell_totals[c as usize] += v as f64;
             }
         }
+        let word_cells: HashMap<String, Vec<(u32, f32)>> =
+            words.iter().map(|&(w, _)| w.clone()).zip(smoothed).collect();
         Self {
             grid: self.grid.clone(),
             word_cells,
@@ -184,6 +187,22 @@ mod tests {
         let word =
             c.word_cells.iter().max_by_key(|(_, v)| v.len()).map(|(w, _)| w.clone()).unwrap();
         assert!(s.word_cells(&word).len() > c.word_cells(&word).len());
+    }
+
+    #[test]
+    fn smoothing_is_bit_identical_across_thread_counts() {
+        let c = counts();
+        let serial = edge_par::with_max_threads(1, || c.smoothed(1.0));
+        let pooled = edge_par::with_max_threads(4, || c.smoothed(1.0));
+        assert_eq!(serial.word_cells.len(), pooled.word_cells.len());
+        for (word, cells) in &serial.word_cells {
+            let bits =
+                |v: &[(u32, f32)]| v.iter().map(|&(c, x)| (c, x.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(cells), bits(&pooled.word_cells[word]), "word {word}");
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&serial.cell_totals), bits(&pooled.cell_totals));
+        assert_eq!(bits(&serial.cell_tweets), bits(&pooled.cell_tweets));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use edge_data::Tweet;
 use edge_geo::{Grid, Point, TermKde};
 
@@ -57,23 +55,21 @@ impl LocKde {
                 term_points.entry(w).or_default().push(t.location);
             }
         }
-        let surfaces: HashMap<String, (Vec<f32>, f64)> = term_points
-            .into_iter()
-            .filter(|(_, pts)| pts.len() >= params.min_count)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(term, mut pts)| {
-                if pts.len() > params.max_points {
-                    let stride = pts.len() / params.max_points;
-                    pts = pts.into_iter().step_by(stride.max(1)).collect();
-                }
-                let kde = TermKde::fit(pts, params.min_bw_km, params.max_bw_km, region_scale_km);
-                let weight = 1.0 / kde.bandwidth_km();
-                let surface: Vec<f32> =
-                    kde.density_grid(&grid).into_iter().map(|d| d as f32).collect();
-                (term, (surface, weight))
-            })
-            .collect();
+        let (terms, point_lists): (Vec<String>, Vec<Vec<Point>>) =
+            term_points.into_iter().filter(|(_, pts)| pts.len() >= params.min_count).unzip();
+        let mut fitted: Vec<(Vec<f32>, f64)> = vec![(Vec::new(), 0.0); terms.len()];
+        edge_par::parallel_for_chunks_mut(&mut fitted, 1, |i, slot| {
+            let pts = &point_lists[i];
+            // Dense terms are stride-subsampled down to about `max_points`.
+            let stride =
+                if pts.len() > params.max_points { pts.len() / params.max_points } else { 1 };
+            let pts: Vec<Point> = pts.iter().copied().step_by(stride).collect();
+            let kde = TermKde::fit(pts, params.min_bw_km, params.max_bw_km, region_scale_km);
+            let weight = 1.0 / kde.bandwidth_km();
+            let surface: Vec<f32> = kde.density_grid(&grid).into_iter().map(|d| d as f32).collect();
+            slot[0] = (surface, weight);
+        });
+        let surfaces = terms.into_iter().zip(fitted).collect();
         Self { grid, surfaces }
     }
 
@@ -190,6 +186,26 @@ mod tests {
             for i in 0..both.len() {
                 assert!((both[i] - a[i] - b[i]).abs() < 1e-9);
             }
+        }
+    }
+
+    #[test]
+    fn fit_is_bit_identical_across_thread_counts() {
+        let d = nyma(PresetSize::Smoke, 9);
+        let (train, _) = d.paper_split();
+        let scale = MetroArea::new_york_like().scale_km();
+        let fit = |threads| {
+            edge_par::with_max_threads(threads, || {
+                LocKde::fit(train, Grid::new(d.bbox, 50, 50), scale, LocKdeParams::default())
+            })
+        };
+        let (serial, pooled) = (fit(1), fit(4));
+        assert_eq!(serial.n_terms(), pooled.n_terms());
+        for (term, (surface, weight)) in &serial.surfaces {
+            let (other, other_weight) = &pooled.surfaces[term];
+            assert_eq!(weight.to_bits(), other_weight.to_bits(), "term {term}");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(surface), bits(other), "term {term}");
         }
     }
 }

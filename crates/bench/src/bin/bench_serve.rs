@@ -510,8 +510,7 @@ fn run_cold_start(legacy_path: &str, mmap_path: &str, text: &str, replicas: usiz
     let mut mapped = Vec::with_capacity(replicas);
     for _ in 0..replicas {
         let t0 = Instant::now();
-        #[allow(deprecated)] // this leg exists to measure the legacy loader
-        let m = EdgeModel::load(legacy_path).expect("legacy load");
+        let m = EdgeModel::load_artifact(legacy_path).expect("legacy load");
         m.locate(&req, &opts).expect("first predict");
         legacy.push(t0.elapsed().as_secs_f64() * 1e6);
 
@@ -586,8 +585,8 @@ fn main() {
     model.save_artifact(&model_path, QuantMode::None).expect("save");
     let legacy_path =
         std::env::temp_dir().join(format!("edge_bench_serve_{}.model.json", std::process::id()));
-    #[allow(deprecated)] // the cold-start leg measures the legacy loader
-    model.save(&legacy_path).expect("legacy save");
+    // The cold-start leg measures the legacy loader.
+    model.save_envelope(&legacy_path).expect("legacy save");
     let model_path = model_path.to_string_lossy().into_owned();
     let legacy_path = legacy_path.to_string_lossy().into_owned();
 

@@ -358,8 +358,7 @@ pub fn train(args: &[String]) -> Result<(), String> {
             }
             // The legacy JSON envelope stays producible for compatibility
             // tests and older readers.
-            #[allow(deprecated)]
-            model.save(out).map_err(|e| e.to_string())?;
+            model.save_envelope(out).map_err(|e| e.to_string())?;
             edge_obs::progress!("saved model to {out} (legacy envelope)");
         }
         other => return Err(format!("unknown format '{other}' (mmap|legacy)")),

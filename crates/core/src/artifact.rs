@@ -1149,16 +1149,14 @@ mod tests {
         let dir = tmp_dir("f32");
         let legacy = dir.join("legacy.edge");
         let mapped = dir.join("model.edgemap");
-        #[allow(deprecated)]
-        model.save(&legacy).expect("legacy save");
+        model.save_envelope(&legacy).expect("legacy save");
         model.save_artifact(&mapped, QuantMode::None).expect("mapped save");
 
         let art = ModelArtifact::open(&mapped).expect("open");
         assert!(art.is_mapped());
         assert_eq!(art.quant(), QuantMode::None);
         let via_map = art.load_model().expect("load");
-        #[allow(deprecated)]
-        let via_legacy = EdgeModel::load(&legacy).expect("legacy load");
+        let via_legacy = EdgeModel::load_artifact(&legacy).expect("legacy load");
 
         let (_, test) = d.paper_split();
         let opts = PredictOptions::default();
@@ -1217,8 +1215,7 @@ mod tests {
         let (model, d) = trained();
         let dir = tmp_dir("upgrade");
         let path = dir.join("model.edge");
-        #[allow(deprecated)]
-        model.save(&path).expect("legacy save");
+        model.save_envelope(&path).expect("legacy save");
         assert!(!ModelArtifact::open(&path).unwrap().is_mapped());
 
         let info = upgrade_artifact(&path, &path, QuantMode::None).expect("upgrade");

@@ -2,8 +2,8 @@
 //! plain matrices, with every linear-algebra intermediate carved out of a
 //! thread-local scratch arena.
 //!
-//! [`crate::EdgeModel::predict`] runs this on the caller's thread (and
-//! `predict_batch` on every `edge-par` worker). The intermediates — the
+//! [`crate::Predictor::locate`] runs this on the caller's thread (and
+//! `locate_batch` on every `edge-par` worker). The intermediates — the
 //! gathered entity rows, attention scores, the aggregated tweet embedding,
 //! the θ row — are recycled across calls, so after a thread's first
 //! prediction warms its scratch the engine performs no heap allocation. The

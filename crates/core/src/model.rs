@@ -160,8 +160,6 @@ pub struct EdgeModel {
     /// Training-split location prior (one Gaussian over all training
     /// tweets), the opt-in fallback for zero-entity tweets.
     prior: Option<GaussianMixture>,
-    /// Whether `predict` falls back to `prior` for zero-entity tweets.
-    fallback_prior: bool,
 }
 
 impl std::fmt::Debug for EdgeModel {
@@ -278,7 +276,6 @@ impl EdgeModel {
             b2,
             smoothed: SmoothedStore::Owned(Matrix::zeros(0, 0)),
             prior,
-            fallback_prior: false,
         };
 
         // Stage 4: end-to-end optimization (Eq. 13).
@@ -688,7 +685,6 @@ impl EdgeModel {
             b2,
             smoothed: SmoothedStore::Owned(Matrix::zeros(0, 0)),
             prior,
-            fallback_prior: false,
         };
         model.refresh_smoothed();
         model
@@ -728,7 +724,6 @@ impl EdgeModel {
             b2,
             smoothed,
             prior,
-            fallback_prior: false,
         }
     }
 
@@ -789,23 +784,6 @@ impl EdgeModel {
         self.prior.as_ref()
     }
 
-    /// Opt into (or out of) predicting the training-split prior for tweets
-    /// with no recognized entity (legacy mutating flag, consulted only by
-    /// the deprecated `predict`/`predict_batch` shims).
-    #[deprecated(
-        since = "0.6.0",
-        note = "pass `PredictOptions { fallback_prior: true, .. }` to `Predictor::locate` instead"
-    )]
-    pub fn set_fallback_prior(&mut self, enabled: bool) {
-        self.fallback_prior = enabled;
-    }
-
-    /// Whether the zero-entity prior fallback is active.
-    #[deprecated(since = "0.6.0", note = "the fallback is per-call now; see `PredictOptions`")]
-    pub fn fallback_prior_enabled(&self) -> bool {
-        self.fallback_prior && self.prior.is_some()
-    }
-
     /// The entity inventory.
     pub fn entity_index(&self) -> &EntityIndex {
         &self.index
@@ -856,9 +834,8 @@ impl EdgeModel {
 
     /// Predicts one request without batching plumbing: resolves entities
     /// (for text input), applies the zero-entity policy from `opts`, and
-    /// runs the tape-free inference engine. Both the [`Predictor`]
-    /// implementation and the deprecated shims route through here, so the
-    /// serving layer and the legacy API are bit-identical by construction.
+    /// runs the tape-free inference engine. `locate` and every item of
+    /// `locate_batch` route through here.
     fn locate_one(
         &self,
         request: &PredictRequest,
@@ -917,45 +894,6 @@ impl EdgeModel {
             from_fallback: false,
         })
     }
-
-    /// The [`PredictOptions`] equivalent of the deprecated mutating
-    /// `set_fallback_prior` flag (used by the legacy shims only).
-    fn legacy_options(&self) -> PredictOptions {
-        PredictOptions { fallback_prior: self.fallback_prior }
-    }
-
-    /// Predicts a location mixture for a tweet text.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Predictor::locate` with `PredictRequest::text` (returns a typed \
-                `PredictError::NoEntities` abstention instead of `None`)"
-    )]
-    pub fn predict(&self, text: &str) -> Option<Prediction> {
-        self.locate_one(&PredictRequest::text(text), &self.legacy_options())
-            .ok()
-            .map(|r| r.prediction)
-    }
-
-    /// Predicts a batch of tweet texts.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Predictor::locate_batch` with `PredictRequest::text` requests"
-    )]
-    pub fn predict_batch(&self, texts: &[&str]) -> Vec<Option<Prediction>> {
-        let requests: Vec<PredictRequest> =
-            texts.iter().map(|&t| PredictRequest::text(t)).collect();
-        self.locate_batch(&requests, &self.legacy_options())
-            .into_iter()
-            .map(|r| r.ok().map(|r| r.prediction))
-            .collect()
-    }
-
-    /// Predicts from resolved entity indices.
-    #[deprecated(since = "0.6.0", note = "use `Predictor::locate` with `PredictRequest::entities`")]
-    pub fn predict_entities(&self, entities: &[usize]) -> Result<Prediction, PredictError> {
-        self.locate_one(&PredictRequest::entities(entities), &PredictOptions::default())
-            .map(|r| r.prediction)
-    }
 }
 
 impl Predictor for EdgeModel {
@@ -974,12 +912,18 @@ impl Predictor for EdgeModel {
         let mut out: Vec<Option<Result<PredictResponse, PredictError>>> =
             Vec::with_capacity(requests.len());
         out.resize_with(requests.len(), || None);
+        // Kernel selection happens on the submitting thread: a
+        // `with_scalar_kernels` scope around this call must govern the
+        // mixture mode search on every pooled item, not only on the items
+        // the submitter happens to claim.
+        let simd = edge_geo::simd_active();
         edge_par::parallel_for_chunks_mut(&mut out, 1, |i, slot| {
             // Per-item stage span: `edge-par` re-adopts the submitter's
             // context on its workers, so this parents to the dispatching
             // span (and keeps its request id) even across threads.
             let _item = edge_obs::span("predict_item");
-            slot[0] = Some(self.locate_one(&requests[i], opts));
+            let locate = || self.locate_one(&requests[i], opts);
+            slot[0] = Some(if simd { locate() } else { edge_geo::with_scalar_kernels(locate) });
         });
         out.into_iter().map(|r| r.expect("every request slot is filled")).collect()
     }
@@ -1102,47 +1046,6 @@ mod tests {
         assert_eq!(err.unwrap_err(), PredictError::EntityOutOfRange { id: n, n_entities: n });
     }
 
-    /// The deprecated pre-`Predictor` surface stays behaviorally identical
-    /// to the unified API it delegates to. This module is the shim layer's
-    /// only sanctioned caller.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        use super::*;
-
-        #[test]
-        fn shims_delegate_to_the_unified_api() {
-            let (mut model, _, d) = trained();
-            let (_, test) = d.paper_split();
-            let t = test.iter().find(|t| !model.resolve_entities(&t.text).is_empty()).unwrap();
-            let via_shim = model.predict(&t.text).expect("covered");
-            let via_locate = model
-                .locate(&PredictRequest::text(&t.text), &PredictOptions::default())
-                .expect("covered");
-            assert_eq!(via_shim.point, via_locate.prediction.point);
-            assert_eq!(via_shim.attention, via_locate.prediction.attention);
-
-            let batched = model.predict_batch(&[t.text.as_str(), "zzz unknown"]);
-            assert_eq!(batched[0].as_ref().unwrap().point, via_shim.point);
-            assert!(batched[1].is_none(), "uncovered text maps back to None");
-
-            let ids = model.resolve_entities(&t.text);
-            let via_entities = model.predict_entities(&ids).expect("covered");
-            assert_eq!(via_entities.point, via_shim.point);
-            assert_eq!(
-                model.predict_entities(&[]).unwrap_err(),
-                PredictError::NoEntities,
-                "empty entity slice stays a typed error"
-            );
-
-            // The mutating fallback flag still drives the shims.
-            assert!(model.predict("zzz qqq unknown").is_none());
-            model.set_fallback_prior(true);
-            assert!(model.fallback_prior_enabled());
-            let p = model.predict("zzz qqq unknown").expect("prior fallback");
-            assert!(p.attention.is_empty());
-        }
-    }
-
     #[test]
     fn training_is_deterministic() {
         let d = nyma(PresetSize::Smoke, 21);
@@ -1160,6 +1063,28 @@ mod tests {
         let p1 = m1.locate(&req, &Default::default()).unwrap();
         let p2 = m2.locate(&req, &Default::default()).unwrap();
         assert_eq!(p1.prediction.point, p2.prediction.point);
+    }
+
+    #[test]
+    fn scalar_kernel_evaluate_is_bit_identical_across_thread_counts() {
+        // `with_scalar_kernels` is a property of the submitting thread; the
+        // pooled items of `locate_batch` must honor it too, or the mode
+        // search runs scalar on some items and vectorized on others.
+        let (model, _, d) = trained();
+        let (_, test) = d.paper_split();
+        let opts = PredictOptions::default();
+        let run = |threads| {
+            edge_geo::with_scalar_kernels(|| {
+                edge_par::with_max_threads(threads, || model.evaluate(test, &opts))
+            })
+        };
+        let (serial, pooled) = (run(1), run(4));
+        assert_eq!(serial.pairs.len(), pooled.pairs.len());
+        assert!(serial.pairs.len() > 100, "covered only {}", serial.pairs.len());
+        for ((a, _), (b, _)) in serial.pairs.iter().zip(&pooled.pairs) {
+            let bits = |p: &Prediction| (p.point.lat.to_bits(), p.point.lon.to_bits());
+            assert_eq!(bits(a), bits(b), "scalar mode differs across thread counts");
+        }
     }
 
     #[test]

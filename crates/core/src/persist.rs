@@ -337,29 +337,11 @@ impl SavedModel {
 
 impl EdgeModel {
     /// Saves the trained model in the legacy JSON envelope — crash-safe
-    /// (temp file + fsync + atomic rename) and checksummed.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `save_artifact` (zero-copy mmap layout, optional quantization); this \
-                writer remains for producing legacy-envelope artifacts only"
-    )]
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_envelope(path)
-    }
-
-    /// Loads a model artifact in either format, verifying checksums first.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `ModelArtifact::open(path)?.load_model()` or \
-                `<EdgeModel as ArtifactLoad>::load_artifact(path)`"
-    )]
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        crate::artifact::ModelArtifact::open(path)?.load_model()
-    }
-
-    /// The non-deprecated legacy-envelope writer (the `--format legacy`
-    /// escape hatch and the deprecated [`EdgeModel::save`] shim).
-    pub(crate) fn save_envelope(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
+    /// (temp file + fsync + atomic rename) and checksummed. `save_artifact`
+    /// (zero-copy mmap layout, optional quantization) is the default
+    /// format; this writer produces legacy-envelope artifacts for
+    /// `--format legacy`, compatibility checks and cross-format parity.
+    pub fn save_envelope(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
         let doc = self.to_saved()?;
         let json = serde_json::to_string(&doc)?;
         write_artifact(path, KIND_MODEL, &json)
@@ -404,11 +386,9 @@ impl EdgeModel {
 }
 
 #[cfg(test)]
-// The deprecated save/load shims are exercised on purpose: they must keep
-// delegating to the artifact API bit-identically.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::artifact::ArtifactLoad;
     use crate::model::TrainOptions;
     use crate::predict::{PredictOptions, PredictRequest, Predictor};
     use edge_data::{dataset_recognizer, nyma, PresetSize};
@@ -440,8 +420,8 @@ mod tests {
         let (model, d) = trained();
         let dir = tmp_dir("roundtrip");
         let path = dir.join("model.edge");
-        model.save(&path).expect("save");
-        let loaded = EdgeModel::load(&path).expect("load");
+        model.save_envelope(&path).expect("save");
+        let loaded = EdgeModel::load_artifact(&path).expect("load");
 
         let (_, test) = d.paper_split();
         let mut compared = 0;
@@ -492,19 +472,22 @@ mod tests {
         // No newline at all: the envelope itself is missing → Corrupt.
         let path = dir.join("garbage.edge");
         std::fs::write(&path, "{not json").unwrap();
-        assert!(matches!(EdgeModel::load(&path), Err(PersistError::Corrupt(_))));
+        assert!(matches!(EdgeModel::load_artifact(&path), Err(PersistError::Corrupt(_))));
         // A header line that is not valid JSON → Format.
         std::fs::write(&path, "{not json\n{}").unwrap();
-        assert!(matches!(EdgeModel::load(&path), Err(PersistError::Format(_))));
+        assert!(matches!(EdgeModel::load_artifact(&path), Err(PersistError::Format(_))));
         // Valid JSON header with the wrong magic → Corrupt.
         std::fs::write(
             &path,
             "{\"magic\":\"NOPE\",\"envelope_version\":1,\"kind\":\"model\",\"payload_bytes\":2,\"crc64\":\"0\"}\n{}",
         )
         .unwrap();
-        assert!(matches!(EdgeModel::load(&path), Err(PersistError::Corrupt(_))));
+        assert!(matches!(EdgeModel::load_artifact(&path), Err(PersistError::Corrupt(_))));
         // Missing file → Io.
-        assert!(matches!(EdgeModel::load(dir.join("missing.edge")), Err(PersistError::Io(_))));
+        assert!(matches!(
+            EdgeModel::load_artifact(dir.join("missing.edge")),
+            Err(PersistError::Io(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

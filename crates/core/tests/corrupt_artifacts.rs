@@ -2,9 +2,7 @@
 //! by truncation at any offset or by any single flipped bit must always
 //! fail to load with a typed [`PersistError`] — never a panic, never a
 //! silently wrong model. Both persistence formats are covered: the legacy
-//! JSON envelope (via the deprecated `EdgeModel::load`, which this suite
-//! deliberately keeps exercising) and the zero-copy mapped layout.
-#![allow(deprecated)]
+//! JSON envelope and the zero-copy mapped layout.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -12,8 +10,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use edge_core::{
-    EdgeConfig, EdgeModel, ModelArtifact, PersistError, PredictRequest, Predictor, QuantMode,
-    TrainOptions,
+    ArtifactLoad, EdgeConfig, EdgeModel, ModelArtifact, PersistError, PredictRequest, Predictor,
+    QuantMode, TrainOptions,
 };
 use edge_data::{SimDate, Tweet};
 use edge_geo::{BBox, Point};
@@ -57,7 +55,7 @@ fn model_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let path = scratch_path("pristine");
-        trained_model().save(&path).expect("save");
+        trained_model().save_envelope(&path).expect("save");
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::remove_file(&path).ok();
         bytes
@@ -95,7 +93,7 @@ fn scratch_path(tag: &str) -> PathBuf {
 fn load_must_fail(bytes: &[u8], tag: &str) -> Result<String, String> {
     let path = scratch_path(tag);
     std::fs::write(&path, bytes).map_err(|e| e.to_string())?;
-    let outcome = EdgeModel::load(&path);
+    let outcome = EdgeModel::load_artifact(&path);
     std::fs::remove_file(&path).ok();
     match outcome {
         Err(e @ (PersistError::Io(_) | PersistError::Format(_) | PersistError::Corrupt(_))) => {
@@ -209,7 +207,7 @@ fn pristine_bytes_load() {
     // Sanity check for the suite itself: the undamaged bytes do load.
     let path = scratch_path("sane");
     std::fs::write(&path, model_bytes()).unwrap();
-    let model = EdgeModel::load(&path).expect("pristine artifact loads");
+    let model = EdgeModel::load_artifact(&path).expect("pristine artifact loads");
     assert!(model.locate(&PredictRequest::text("alpha cafe"), &Default::default()).is_ok());
     std::fs::remove_file(&path).ok();
 }

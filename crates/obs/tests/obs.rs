@@ -2,19 +2,24 @@
 //! process-global, so each concern keeps to its own metric/span names and the
 //! trace assertions live in a single test body.
 
-use rayon::prelude::*;
 use std::time::Duration;
 
 use edge_obs::trace;
 
 #[test]
-fn concurrent_counter_increments_from_rayon_threads() {
+fn concurrent_counter_increments_from_scoped_threads() {
     edge_obs::set_metrics_enabled(true);
     let c = edge_obs::metrics::counter("itest.concurrent.counter");
     let before = c.get();
-    (0..64usize).into_par_iter().for_each(|_| {
-        for _ in 0..1_000 {
-            c.inc(1);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..16_000 {
+                    c.inc(1);
+                }
+            });
         }
     });
     assert_eq!(c.get() - before, 64_000, "relaxed increments must not be lost");

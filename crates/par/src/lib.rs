@@ -1,10 +1,8 @@
 //! # edge-par: the workspace's persistent worker pool
 //!
-//! Every `par_iter` / `par_chunks_mut` call in the workspace used to fan out
-//! through the vendored rayon shim by **spawning fresh OS threads per call**
-//! — tens of microseconds of overhead on every matmul, spmm, and evaluation
-//! sweep. This crate replaces that with a persistent, lazily-initialized
-//! worker pool:
+//! Every parallel region in the workspace (matmul, spmm, training sweeps,
+//! evaluation, the baselines) runs on one persistent, lazily-initialized
+//! worker pool instead of spawning OS threads per call:
 //!
 //! * **Parked workers.** Worker threads are spawned once (on first parallel
 //!   call), then park on a condvar between jobs. Dispatching a job is a
@@ -28,10 +26,6 @@
 //!
 //! Observability: `par.pool.jobs` / `par.pool.steals` counters and the
 //! `par.pool.queue_depth` / `par.pool.threads` gauges via `edge-obs`.
-//!
-//! For A/B benchmarking the old behavior is kept behind
-//! [`DispatchMode::Spawn`] (or `EDGE_PAR_DISPATCH=spawn`): identical
-//! splitting, but executed on freshly spawned scoped threads per call.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -98,7 +92,7 @@ pub fn num_threads() -> usize {
 
 /// Runs `f` with parallelism fixed to `n` on this thread (nested parallel
 /// calls made *from pooled tasks* see the global setting instead — the cap
-/// is a property of the calling thread, as in rayon's scoped pools).
+/// is a property of the calling thread).
 /// Used by the determinism property tests to sweep thread counts in-process.
 pub fn with_max_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
@@ -114,49 +108,6 @@ pub fn with_max_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     });
     let _restore = Restore(prev);
     f()
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch mode (pooled vs. legacy spawn-per-call, kept for A/B benches)
-// ---------------------------------------------------------------------------
-
-/// How [`parallel_for`] executes a parallel region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Persistent pool (the default): parked workers, chunked stealing.
-    Pool,
-    /// Legacy baseline: spawn scoped OS threads per call. Only useful to
-    /// measure what the pool buys (`bench_pipeline`, `pool_dispatch`).
-    Spawn,
-}
-
-static SPAWN_MODE: AtomicBool = AtomicBool::new(false);
-
-fn spawn_mode_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let from_env = std::env::var("EDGE_PAR_DISPATCH").is_ok_and(|v| v == "spawn");
-        if from_env {
-            SPAWN_MODE.store(true, Ordering::Relaxed);
-        }
-        from_env
-    })
-}
-
-/// Selects the dispatch strategy (also settable via `EDGE_PAR_DISPATCH=spawn`).
-pub fn set_dispatch_mode(mode: DispatchMode) {
-    spawn_mode_default();
-    SPAWN_MODE.store(mode == DispatchMode::Spawn, Ordering::Relaxed);
-}
-
-/// The current dispatch strategy.
-pub fn dispatch_mode() -> DispatchMode {
-    spawn_mode_default();
-    if SPAWN_MODE.load(Ordering::Relaxed) {
-        DispatchMode::Spawn
-    } else {
-        DispatchMode::Pool
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,9 +335,6 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
     }
     edge_obs::counter!("par.pool.jobs").inc(1);
     let ctx = edge_obs::trace_enabled().then(edge_obs::trace::current_context);
-    if dispatch_mode() == DispatchMode::Spawn {
-        return spawn_dispatch(count, width, &task, ctx);
-    }
     let pool = pool();
     pool.ensure_workers(width - 1);
     let task_ref: &(dyn Fn(usize) + Sync) = &task;
@@ -433,10 +381,9 @@ pub fn parallel_for_grained<F: Fn(usize) + Sync>(count: usize, min_grain: usize,
 
 /// Splits `data` into `chunk_size`-element chunks and runs
 /// `task(chunk_index, chunk)` for each, in parallel, blocking until all
-/// chunks completed. The final chunk may be shorter. Unlike the rayon-shim
-/// `par_chunks_mut`, this performs **no heap allocation** on the serial path
-/// (parallelism 1), which is what makes a zero-allocation train loop at
-/// `--threads 1` possible.
+/// chunks completed. The final chunk may be shorter. This performs **no heap
+/// allocation** on the serial path (parallelism 1), which is what makes a
+/// zero-allocation train loop at `--threads 1` possible.
 pub fn parallel_for_chunks_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(
     data: &mut [T],
     chunk_size: usize,
@@ -477,37 +424,6 @@ pub fn parallel_for_chunks_mut_grained<T: Send, F: Fn(usize, &mut [T]) + Sync>(
         // disjoint, so each `&mut [T]` is exclusive.
         let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), hi - lo) };
         task(idx, chunk);
-    });
-}
-
-/// The legacy spawn-per-call execution of a parallel region: `width` scoped
-/// OS threads over contiguous ranges. Kept only as the A/B baseline for the
-/// `pool_dispatch` and `bench_pipeline` benches.
-fn spawn_dispatch<F: Fn(usize) + Sync>(
-    count: usize,
-    width: usize,
-    task: &F,
-    ctx: Option<edge_obs::trace::SpanContext>,
-) {
-    let per = count.div_ceil(width);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..width)
-            .map(|t| {
-                let lo = (t * per).min(count);
-                let hi = ((t + 1) * per).min(count);
-                scope.spawn(move || {
-                    let _adopt = ctx.map(edge_obs::trace::adopt);
-                    for i in lo..hi {
-                        task(i);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
     });
 }
 
@@ -582,22 +498,6 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 16 * (0..64).sum::<u64>());
-    }
-
-    #[test]
-    fn spawn_mode_matches_pool_mode() {
-        let run = |mode: DispatchMode| {
-            set_dispatch_mode(mode);
-            let sum = AtomicU64::new(0);
-            with_max_threads(4, || {
-                parallel_for(5000, |i| {
-                    sum.fetch_add(i as u64, Ordering::Relaxed);
-                });
-            });
-            set_dispatch_mode(DispatchMode::Pool);
-            sum.into_inner()
-        };
-        assert_eq!(run(DispatchMode::Spawn), run(DispatchMode::Pool));
     }
 
     #[test]

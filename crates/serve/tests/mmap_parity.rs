@@ -6,8 +6,7 @@
 
 mod util;
 
-#[allow(deprecated)] // the parity baseline *is* the legacy loader
-use edge_core::{EdgeModel, PredictOptions, PredictRequest, Predictor};
+use edge_core::{ArtifactLoad, EdgeModel, PredictOptions, PredictRequest, Predictor};
 use edge_serve::{Client, ServeConfig, Server};
 
 /// The serve-level twin of the core byte-identity test: the mapped-format
@@ -16,8 +15,7 @@ use edge_serve::{Client, ServeConfig, Server};
 #[test]
 fn mapped_server_matches_legacy_rendering_bit_for_bit() {
     let w = util::world();
-    #[allow(deprecated)]
-    let legacy = EdgeModel::load(&w.legacy_path).expect("legacy load");
+    let legacy = EdgeModel::load_artifact(&w.legacy_path).expect("legacy load");
 
     let server = util::start_server(ServeConfig {
         cache_capacity: 0, // every text must go through the mmapped model

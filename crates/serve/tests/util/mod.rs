@@ -44,8 +44,8 @@ pub fn world() -> &'static TestWorld {
         model.save_artifact(&path, QuantMode::None).expect("save");
         let legacy =
             std::env::temp_dir().join(format!("edge_serve_test_{}.model.json", std::process::id()));
-        #[allow(deprecated)] // parity suites compare against the old format
-        model.save(&legacy).expect("legacy save");
+        // The parity suites compare against the legacy envelope format.
+        model.save_envelope(&legacy).expect("legacy save");
         let model_path = path.to_string_lossy().into_owned();
         let model = EdgeModel::load_artifact(&model_path).expect("load");
         TestWorld { model_path, legacy_path: legacy.to_string_lossy().into_owned(), model, dataset }

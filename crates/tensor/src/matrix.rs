@@ -248,9 +248,7 @@ impl Matrix {
         };
         if parallel {
             // Chunk layout matches the serial path exactly, so partitioning
-            // cannot change results. `edge_par` rather than the rayon shim:
-            // the shim heap-allocates its chunk list per call even at one
-            // thread, which would break the zero-allocation train loop.
+            // cannot change results.
             edge_par::parallel_for_chunks_mut(&mut out.data, MATMUL_ROW_BLOCK * m, work);
         } else {
             out.data.chunks_mut(MATMUL_ROW_BLOCK * m).enumerate().for_each(|(i, b)| work(i, b));

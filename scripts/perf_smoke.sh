@@ -31,12 +31,11 @@ import json
 out = json.load(open("results/BENCH_pipeline.json"))
 legs = {l["label"]: l for l in out["edge_speedup"]["legs"]}
 assert set(legs) == {
-    "serial (1 thread)", "spawn-per-call", "fresh-alloc (no arena)",
-    "persistent pool", "scalar kernels",
+    "serial (1 thread)", "fresh-alloc (no arena)", "persistent pool",
+    "scalar kernels",
 }, sorted(legs)
 
-for label in ("serial (1 thread)", "spawn-per-call", "persistent pool",
-              "scalar kernels"):
+for label in ("serial (1 thread)", "persistent pool", "scalar kernels"):
     allocs = legs[label]["allocs_per_batch"]
     assert allocs == 0, f"{label}: {allocs} allocations per steady-state batch"
 fresh = legs["fresh-alloc (no arena)"]
